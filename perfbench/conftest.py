@@ -1,0 +1,10 @@
+"""Make the benchmark and the program under test importable when the
+benchmark's tests run from the repository root."""
+
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+for path in (ROOT, os.path.join(ROOT, "src")):
+    if path not in sys.path:
+        sys.path.insert(0, path)
