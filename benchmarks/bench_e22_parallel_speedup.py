@@ -11,9 +11,11 @@ cannot scale there — see docs/parallel.md):
   hash-partitioned on the join key, each worker builds and probes its
   own shard-local table.
 
-Every cell asserts **bag-equality against the serial physical
-engine** before its timing is recorded — scaling numbers for wrong
-answers are worthless.  A third battery drives the governed edges:
+Every cell asserts **bag-equality against the serial engine** before
+its timing is recorded — scaling numbers for wrong answers are
+worthless.  The serial baseline is the fastest serial path there is:
+the serial engine at its default opt level, which runs fused codegen
+segments (the one physical executor).  A third battery drives the governed edges:
 step budgets, near-zero deadlines, pre-cancelled tokens, and a
 powerset budget blowing up inside a barrier leaf must surface the
 *same* GovernedError types as the serial engine, with all workers
@@ -39,8 +41,9 @@ distinguishable from a *failed* one:
   fewer than 4 cores, process IPC is a structural loss (nothing to
   overlap with the shipping), so the thread rung is the honest
   measure of what the substrate itself costs — split, dispatch,
-  governance, ordered merge.  With the columnar segment programs it
-  in fact *beats* the serial stream engine at realistic sizes.
+  governance, ordered merge.  Against serial codegen on a 2-CPU box
+  the substrate still loses (ROADMAP item 5): the gate then records
+  ``failed`` with the measured ratio — the floor does not move.
 * ``serialization`` — codec bytes * 5 <= pickle bytes on the
   join-heavy morsels (always asserted; no hardware dependence).
 

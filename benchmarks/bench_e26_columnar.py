@@ -1,12 +1,17 @@
-"""E26 — columnar codegen engine speedup over the stream engine
+"""E26 — columnar codegen engine speedup over the former stream engine
 (systems, not a paper claim).
 
 E20 measured the physical engine against the tree walker; this battery
-measures the next rung: ``engine="codegen"`` (opt level 3, the fused
-columnar closures of :mod:`repro.engine.codegen`) against
-``engine="physical"`` (the per-row stream kernels) on the pipelines
-the compiler actually fuses.  Three governed headline cells carry the
-acceptance gate:
+measures what fused codegen (``engine="codegen"``, opt level 3: the
+columnar closures of :mod:`repro.engine.codegen`) gained over the
+row-at-a-time stream engine it replaced, on the pipelines the
+compiler fuses.  The stream engine is gone, so its side of every ratio
+is the timing recorded for it at the last commit that had it
+(``results/e26_stream_baseline.json``), in units of a stdlib
+calibration loop (:func:`_calibration_loop`) timed right before and
+after each cell; the bench times that loop around each of its own
+cells too, so the ratio holds on a slower or faster host.  Three
+governed headline cells carry the acceptance gate:
 
 * **sym-diff chain** — ``eps((X - Y) (+) (Y - X))`` iterated, the
   Thm 4.4 tractable fragment and E20's headline shape, on a
@@ -21,19 +26,18 @@ acceptance gate:
   concatenate-then-dedup.
 
 The acceptance gate is the geometric mean of the three headline
-speedups: ``>= GEOMEAN_FLOOR`` (6x full tier, 2x under ``E26_SMOKE``
-— both set well under the ~9x geomean measured at authoring time, so
-hardware variance does not flake CI).  Two satellite rows —
-dedup-after-map and hash join — are *report-only*: their cost is
-Tup construction and lambda application, identical in both engines,
-so codegen's honest gain there is small and the rows document that.
+speedups: ``>= GEOMEAN_FLOOR`` (6x full tier, 2x under ``E26_SMOKE``).
+Two satellite rows — dedup-after-map and hash join — are
+*report-only*: their cost is Tup construction and lambda application,
+which fusion does not remove, so codegen's honest gain there is small
+and the rows document that.
 
-Every cell asserts bag-equal results between the two engines, runs
-governed, and the fused-segment/barrier counters are checked: the
-headline pipelines must fuse with zero barrier fallbacks, and a
-powerset probe must take exactly one barrier fallback.  A plan-cache
-row pins cache-key isolation at runtime (a warmed codegen entry never
-serves a physical run, and vice versa).
+Every cell runs governed and asserts its result bag-equal to the
+naive opt-level-0 plan of the same query, and the fused-segment /
+barrier counters are checked: the headline pipelines must fuse with
+zero barrier kernels, and a powerset probe must run exactly one.  A
+plan-cache row pins cache-key isolation at runtime (a warmed opt-3
+codegen entry never serves an opt-1 physical run, and vice versa).
 
 Statuses persist to ``results/e26_columnar.status.json``; the table
 goes to ``results/e26_columnar.txt`` and the machine-readable ledger
@@ -73,8 +77,11 @@ UNION_DEDUP = (40, 8, 4) if SMOKE else (150, 16, 6)
 #: Acceptance: geomean of the three headline speedups.
 GEOMEAN_FLOOR = 2.0 if SMOKE else 6.0
 
-#: Best-of-N timing per engine per cell.
+#: Best-of-N timing per cell.
 REPS = 2 if SMOKE else 3
+
+#: Recorded stream-engine timings (see the module docstring).
+STREAM_BASELINE = os.path.join(RESULTS_DIR, "e26_stream_baseline.json")
 
 LIMITS = Limits(max_steps=200_000_000, timeout=300.0)
 
@@ -115,34 +122,41 @@ def _best_of(fn, reps: int):
     return value, best
 
 
-def _engine_pair(experiment_cell: str, expr, database):
-    """Run one workload on both engines, governed; returns
-    ``(speedup, physical_seconds, codegen_seconds)`` after asserting
-    bag equality."""
+def _calibration_loop() -> int:
+    """A fixed stdlib dict/tuple loop: the host-speed yardstick the
+    recorded stream timings are scaled by (it touches no repository
+    code, so no later change can move it)."""
+    table = {}
+    for i in range(200_000):
+        key = (i % 997, i % 991, "k")
+        table[key] = table.get(key, 0) + i
+    return sum(v for k, v in table.items() if k[0] > 10)
 
-    def physical_cell(governor):
-        return _best_of(lambda: evaluate(
-            expr, database, engine="physical", governor=governor,
-            cache=None), REPS)
+
+def _calibrate() -> float:
+    return _best_of(_calibration_loop, 3)[1]
+
+
+def _codegen_cell(experiment_cell: str, expr, database):
+    """Time one workload on the codegen engine, governed, between two
+    calibrations; returns ``(best seconds, calibration seconds)`` — the
+    lower calibration, the host's state nearest the cell — after
+    asserting the result bag-equal to the naive opt-level-0 plan."""
 
     def codegen_cell(governor):
         return _best_of(lambda: evaluate(
             expr, database, engine="codegen", governor=governor,
             cache=None), REPS)
 
-    physical_outcome = governed_cell(
-        EXPERIMENT, f"physical-{experiment_cell}", physical_cell,
-        limits=LIMITS)
-    codegen_outcome = governed_cell(
+    calibration = _calibrate()
+    outcome = governed_cell(
         EXPERIMENT, f"codegen-{experiment_cell}", codegen_cell,
         limits=LIMITS)
-    assert physical_outcome.status == "ok"
-    assert codegen_outcome.status == "ok"
-    reference, physical_seconds = physical_outcome.value
-    result, codegen_seconds = codegen_outcome.value
-    assert result == reference  # bag-equal on every cell
-    return (physical_seconds / codegen_seconds, physical_seconds,
-            codegen_seconds)
+    calibration = min(calibration, _calibrate())
+    assert outcome.status == "ok"
+    result, codegen_seconds = outcome.value
+    assert result == evaluate(expr, database, opt_level=0, cache=None)
+    return codegen_seconds, calibration
 
 
 def test_e26_columnar_speedup(benchmark):
@@ -170,29 +184,11 @@ def test_e26_columnar_speedup(benchmark):
          {f"A{i}": random_relation(domain, arity=2, seed=10 + i)
           for i in range(nrels)}))
 
-    speedups = []
-    for label, expr, database in headline:
-        speedup, physical_seconds, codegen_seconds = _engine_pair(
-            label.split(" (")[0], expr, database)
-        speedups.append(speedup)
-        rows.append((label, f"{physical_seconds * 1e3:.1f}",
-                     f"{codegen_seconds * 1e3:.1f}",
-                     f"{speedup:.1f}x"))
-        ledger_headline.append({
-            "cell": label,
-            "physical_seconds": round(physical_seconds, 4),
-            "codegen_seconds": round(codegen_seconds, 4),
-            "speedup": round(speedup, 3)})
-
-    geomean = math.exp(sum(map(math.log, speedups)) / len(speedups))
-    rows.append((f"headline geomean "
-                 f"({'smoke' if SMOKE else 'full'} tier)",
-                 "-", "-", f"{geomean:.1f}x"))
-
-    # acceptance: fused pipelines carry the gate
-    assert geomean >= GEOMEAN_FLOOR, (geomean, speedups)
-
-    # -- satellites: Tup-construction-bound cells (report-only) -------
+    with open(STREAM_BASELINE, encoding="utf-8") as handle:
+        baseline = json.load(handle)
+    tier = baseline["smoke" if SMOKE else "full"]
+    timed = [(label, _codegen_cell(label.split(" (")[0], expr, database))
+             for label, expr, database in headline]
     satellites = [
         ("dedup-map chain (d=5)", dedup_map_chain(5),
          {"X": random_relation(20, arity=2, seed=3)}),
@@ -200,18 +196,37 @@ def test_e26_columnar_speedup(benchmark):
          {"L": random_relation(24, arity=2, seed=4),
           "R": random_relation(24, arity=2, seed=5)}),
     ]
-    for label, expr, database in satellites:
-        speedup, physical_seconds, codegen_seconds = _engine_pair(
-            label.split(" (")[0].replace(" ", "-"), expr, database)
-        rows.append((f"{label} [satellite]",
-                     f"{physical_seconds * 1e3:.1f}",
-                     f"{codegen_seconds * 1e3:.1f}",
-                     f"{speedup:.1f}x"))
-        ledger_satellite.append({
-            "cell": label,
-            "physical_seconds": round(physical_seconds, 4),
-            "codegen_seconds": round(codegen_seconds, 4),
-            "speedup": round(speedup, 3)})
+    timed_satellites = [
+        (label, _codegen_cell(label.split(" (")[0].replace(" ", "-"),
+                              expr, database))
+        for label, expr, database in satellites]
+
+    def ledger_row(label, measured, shown=None):
+        codegen_seconds, calibration = measured
+        stream_seconds = tier[label] * calibration
+        speedup = stream_seconds / codegen_seconds
+        rows.append((shown or label, f"{stream_seconds * 1e3:.1f}",
+                     f"{codegen_seconds * 1e3:.1f}", f"{speedup:.1f}x"))
+        return {"cell": label,
+                "stream_calibration_units": tier[label],
+                "calibration_seconds": round(calibration, 4),
+                "stream_seconds": round(stream_seconds, 4),
+                "codegen_seconds": round(codegen_seconds, 4),
+                "speedup": round(speedup, 3)}
+
+    for label, measured in timed:
+        ledger_headline.append(ledger_row(label, measured))
+    speedups = [entry["speedup"] for entry in ledger_headline]
+    geomean = math.exp(sum(map(math.log, speedups)) / len(speedups))
+    rows.append((f"headline geomean "
+                 f"({'smoke' if SMOKE else 'full'} tier)",
+                 "-", "-", f"{geomean:.1f}x"))
+    for label, measured in timed_satellites:
+        ledger_satellite.append(
+            ledger_row(label, measured, f"{label} [satellite]"))
+
+    # acceptance: fused pipelines carry the gate
+    assert geomean >= GEOMEAN_FLOOR, (geomean, speedups)
 
     # -- fusion counters: headline fuses clean, powerset barriers -----
     stats = EngineStats()
@@ -230,9 +245,9 @@ def test_e26_columnar_speedup(benchmark):
              S=random_relation(3, arity=1, seed=8))
     assert barrier_stats.barrier_fallbacks == 1
     rows.append(("fusion counters (sym-diff d=3 / powerset)", "-", "-",
-                 f"{fused_headline} fused, 0/1 barriers"))
+                 f"{fused_headline} fused, 0/1 barrier kernels"))
 
-    # -- plan cache: codegen entries are isolated and re-hit ----------
+    # -- plan cache: opt-3 entries are isolated and re-hit ------------
     cache = PlanCache(capacity=8)
     stats = EngineStats()
     expr = sym_diff_chain(3)
@@ -245,15 +260,16 @@ def test_e26_columnar_speedup(benchmark):
     crossed = evaluate(expr, engine="physical", cache=cache,
                        stats=stats, X=X, Y=Y)
     assert crossed == first
-    assert stats.cache_hits == 1    # physical run missed: isolated key
+    assert stats.cache_hits == 1    # opt-1 physical run missed
     assert stats.cache_misses == 2
-    rows.append(("plan-cache isolation (codegen vs physical)", "-",
+    rows.append(("plan-cache isolation (opt 3 vs opt 1)", "-",
                  "-", f"hit rate {cache.stats.hit_rate:.0%}"))
 
     emit_table(
         EXPERIMENT,
-        "E26  codegen engine vs stream engine (ms per evaluation)",
-        ["cell", "physical ms", "codegen ms", "speedup"], rows)
+        "E26  codegen engine vs the recorded stream engine "
+        "(ms per evaluation; stream scaled to this host)",
+        ["cell", "stream ms", "codegen ms", "speedup"], rows)
 
     ledger = {"experiment": EXPERIMENT, "smoke": SMOKE,
               "geomean_floor": GEOMEAN_FLOOR,

@@ -147,8 +147,8 @@ class Session:
 
     def _default_level(self) -> int:
         """The opt level the current engine defaults to: the oracle
-        walker evaluates queries as written, the codegen engine needs
-        the fusion stage of level 3."""
+        walker evaluates queries as written, the codegen engine runs
+        level 3 (level 2's passes)."""
         if self.engine == "tree":
             return 0
         if self.engine == "codegen":
@@ -335,9 +335,9 @@ class Session:
             self._print("-- stages --")
             self._print(self._explain_stages(expr))
             self._print("-- physical --")
-            # under :engine codegen the physical section is the fused
-            # plan itself: segment report, lowered tree, and the
-            # "-- codegen --" fusion counters
+            # the physical section is the fused plan itself: segment
+            # report and lowered tree (under :engine codegen also the
+            # "-- codegen --" fusion counters)
             self._print(explain_physical(
                 expr, self.bindings, governor=self._governor(),
                 engine=("codegen" if self.engine == "codegen"
@@ -646,12 +646,12 @@ def main(argv=None) -> int:
     govern every evaluation; governed failures print as ``error:``
     lines instead of killing the process.  ``--engine
     physical|parallel|codegen|tree`` picks the evaluator (default:
-    the physical kernel engine; ``codegen`` runs fused columnar
-    closures); ``--workers N`` and ``--parallel-backend
-    thread|process`` configure the parallel engine; ``--opt-level
-    0|1|2|3`` picks the planner's pass set (0 disables every rewrite
-    and lowers naively; 2 adds the full algebraic fixpoint; 3 adds
-    the codegen fusion stage);
+    the physical engine, which runs fused columnar closures;
+    ``codegen`` is the same engine at opt level 3); ``--workers N``
+    and ``--parallel-backend thread|process`` configure the parallel
+    engine; ``--opt-level 0|1|2|3`` picks the planner's pass set (0
+    disables every rewrite and lowers naively; 2 adds the full
+    algebraic fixpoint; 3 runs level 2's passes);
     ``--resilience`` turns on fault-tolerant parallel execution
     (morsel retry, pool respawn, degradation ladder); ``--semiring
     nat|bool|tropical|provenance`` picks the multiplicity semiring

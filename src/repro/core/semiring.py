@@ -9,7 +9,7 @@ truncated difference (monus) and lattice meet/join for the
 intersection/maximal-union operators.
 
 This module is the single arithmetic seam.  Every execution layer
-(tree walker, stream kernels, columnar kernels, generated closures,
+(tree walker, the engine's kernels and generated closures,
 the parallel shard codec, and the planner's cache tags) consumes a
 :class:`Semiring` instance instead of hard-coding ``int`` arithmetic.
 

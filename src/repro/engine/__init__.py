@@ -4,13 +4,14 @@ The tree walker in :mod:`repro.core.eval` is the semantics oracle:
 small, obviously faithful to the paper, and instrumented.  This package
 is the *production* path: expressions are compiled by the staged
 planner (:func:`repro.planner.compile` — normalize, rewrite, cost-based
-lowering, optional parallelize) into physical plans of pipelined
-operator kernels over ``(value, multiplicity)`` streams
-(:mod:`repro.engine.physical`, :mod:`repro.engine.kernels`), with a
-bounded LRU plan cache plus per-run common-subexpression sharing
-(:mod:`repro.engine.cache`).  Plan-cache keys include the planner's
-pass configuration, so plans compiled at different opt levels (or with
-different pass toggles) never collide.
+lowering, optional parallelize, codegen) into physical plans
+(:mod:`repro.engine.physical`) and then into fused Python closures
+over one dict/column kernel set (:mod:`repro.engine.codegen`,
+:mod:`repro.engine.columnar`), with a bounded LRU plan cache plus
+per-run common-subexpression sharing (:mod:`repro.engine.cache`).
+Plan-cache keys include the planner's pass configuration, so plans
+compiled at different opt levels (or with different pass toggles)
+never collide.
 
 The paper's tractability results license the design: BALG¹ sits inside
 LOGSPACE (Thm 4.4) and BALG avoids the powerbag's ``2^n`` blow-up
@@ -33,7 +34,7 @@ engine="physical")``.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Mapping, Optional
 
 from repro.core.bag import Bag
 from repro.core.database import Instance
@@ -44,10 +45,9 @@ from repro.core.errors import (
 from repro.core.eval import Evaluator
 from repro.core.expr import Expr
 from repro.engine.cache import CacheStats, PlanCache, canonical_key
-from repro.engine.kernels import Rows, collect
 from repro.engine.lower import Lowering, PhysicalPlan, lower
 from repro.engine.physical import (
-    EngineStats, ExecContext, PhysicalNode, render_plan,
+    EngineStats, ExecContext, PhysicalNode, ScanBag, render_plan,
 )
 from repro.engine.resilience import (
     ResilienceConfig, is_transient_fault, resolve_resilience,
@@ -56,10 +56,13 @@ from repro.guard.governor import Limits, ResourceGovernor
 from repro.planner import PassConfig, PlanContext
 from repro.planner import compile as planner_compile
 
+if TYPE_CHECKING:
+    from repro.engine.codegen import CodegenPlan
+
 __all__ = [
     "EngineStats", "ExecContext", "PhysicalNode", "PhysicalPlan",
     "PlanCache", "CacheStats", "Lowering", "lower", "canonical_key",
-    "Rows", "collect", "render_plan", "ResilienceConfig",
+    "render_plan", "ResilienceConfig",
     "evaluate", "plan_for", "explain_physical", "default_cache",
 ]
 
@@ -91,8 +94,8 @@ def _config_for(opt_level: Optional[int],
     """Resolve the pass configuration for a physical-path call: an
     explicit config wins, then an explicit level; the default is
     opt level 1 (normalize + cost-based lowering) — except under
-    ``engine="codegen"``, whose callers pass ``default_level=3`` so
-    the codegen stage is on by default.  ``semiring`` (an instance,
+    ``engine="codegen"``, whose callers pass ``default_level=3`` (level
+    2's passes).  ``semiring`` (an instance,
     a name, or None for N) is stamped into the config so plan-cache
     keys and the lowering pass see the active multiplicity domain."""
     from dataclasses import replace as _replace
@@ -121,6 +124,24 @@ def _absorb_feedback(catalog, stats: EngineStats) -> None:
         absorb(observed)
 
 
+def _scan_estimates(root: PhysicalNode) -> dict:
+    """Compile-time cardinality estimate per scanned relation, read
+    off the plan's ScanBag nodes (what the feedback footer compares
+    the observed cardinalities against)."""
+    estimates = {}
+    seen = set()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if isinstance(node, ScanBag) and node.estimated is not None:
+            estimates[node.name] = node.estimated.cardinality
+        stack.extend(node.children())
+    return estimates
+
+
 def plan_for(expr: Expr, bindings: Mapping[str, Any],
              cache: Optional[PlanCache] = None,
              stats: Optional[EngineStats] = None,
@@ -130,7 +151,7 @@ def plan_for(expr: Expr, bindings: Mapping[str, Any],
              config: Optional[PassConfig] = None,
              catalog=None,
              engine: Optional[str] = None,
-             semiring=None) -> PhysicalPlan:
+             semiring=None) -> "CodegenPlan":
     """Fetch or build the physical plan for an expression.
 
     A thin shim over :func:`repro.planner.compile`: a cache hit skips
@@ -140,10 +161,9 @@ def plan_for(expr: Expr, bindings: Mapping[str, Any],
     :class:`~repro.engine.parallel.ParallelPolicy`) turns on the
     parallelism pass; parallel plans live under a tagged cache key so
     they never shadow serial plans, and the pass configuration is part
-    of every key so opt levels never collide either.
-    ``engine="codegen"`` yields a fused
-    :class:`~repro.engine.codegen.CodegenPlan` (default opt level 3)
-    under its own cache-tag component.
+    of every key so opt levels never collide either.  The plan is a
+    fused :class:`~repro.engine.codegen.CodegenPlan` whatever the
+    engine; ``engine="codegen"`` only moves the default opt level to 3.
     """
     if engine is None:
         engine = "parallel" if policy is not None else "physical"
@@ -198,15 +218,15 @@ def evaluate(expr: Expr,
     ``min_morsel_rows`` overrides the adaptive morsel-granularity
     floor (1 forces the full ``workers x morsel_factor`` split even
     on tiny inputs — what the differential harness does).
-    ``engine="codegen"`` compiles the lowered plan one step further —
-    every pipeline segment fuses into a columnar Python closure
-    (:mod:`repro.engine.codegen`); powerset/flatten/nest subtrees fall
-    back to the stream kernels as barrier leaves.  ``opt_level``
-    (0/1/2/3) or a full
+    Every engine but ``"tree"`` runs the same executor: the lowered
+    plan compiles into fused Python closures over the one kernel set
+    (:mod:`repro.engine.codegen`); ``engine="codegen"`` is
+    ``engine="physical"`` with opt level 3 as its default.
+    ``opt_level`` (0/1/2/3) or a full
     :class:`~repro.planner.PassConfig` picks the planner passes —
     level 0 disables every rewrite and lowers naively, level 2 adds
-    the full algebraic rewrite fixpoint to the default, level 3 adds
-    the codegen stage (the ``engine="codegen"`` default).
+    the full algebraic rewrite fixpoint to the default, level 3 runs
+    level 2's passes.
     ``cache=None`` disables plan caching; the default is the
     process-wide cache.  Governed limits apply to the whole run:
     compilation ticks the shared governor per rewrite pass, every
@@ -395,18 +415,11 @@ def explain_physical(expr: Expr,
         plan.execute(ExecContext(bindings, evaluator, stats=stats,
                                  parallel=parallel_config))
         executed = True
-    # snapshot compile-time estimates before feedback rewrites them
-    estimates = {}
-    lookup = getattr(catalog, "planner_stats", None)
-    if lookup is not None:
-        for name in stats.observed_cardinalities:
-            entry = lookup(name)
-            if entry is not None:
-                estimates[name] = entry.bag_stats.cardinality
     if feedback and executed and catalog is not None:
         _absorb_feedback(catalog, stats)
-    rendered = plan.render()
+    rendered = plan.render(stats.node_rows if executed else None)
     if feedback and executed:
+        estimates = _scan_estimates(plan.root)
         feedback_lines = ["-- feedback --"]
         observed = stats.observed_mean_cardinalities()
         for name in sorted(observed):

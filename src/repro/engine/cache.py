@@ -5,8 +5,8 @@ SQL layer, the CLI, a service loop) sends the *same* queries over and
 over; caching the physical plan makes the repeated case allocation-free
 up to execution.  Two layers of reuse:
 
-* **across runs** — :class:`PlanCache`, an LRU of
-  :class:`~repro.engine.lower.PhysicalPlan` objects keyed on the
+* **across runs** — :class:`PlanCache`, an LRU of compiled
+  :class:`~repro.engine.codegen.CodegenPlan` objects keyed on the
   *canonical key* of the expression (structural, with commutative
   operands sorted so ``A n B`` and ``B n A`` share a plan) plus the
   arity signature of the free relations (join fusion bakes attribute
@@ -25,12 +25,14 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Hashable, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Hashable, Mapping, Optional, Tuple
 
 from repro.core.expr import (
     AdditiveUnion, Expr, Intersection, MaxUnion,
 )
-from repro.engine.lower import PhysicalPlan
+
+if TYPE_CHECKING:
+    from repro.engine.codegen import CodegenPlan
 
 __all__ = ["CacheStats", "PlanCache", "canonical_key"]
 
@@ -101,7 +103,7 @@ class PlanCache:
             raise ValueError("plan cache capacity must be >= 1")
         self.capacity = capacity
         self.stats = CacheStats()
-        self._plans: "OrderedDict[Hashable, PhysicalPlan]" = OrderedDict()
+        self._plans: "OrderedDict[Hashable, CodegenPlan]" = OrderedDict()
 
     @staticmethod
     def key_for(expr: Expr,
@@ -119,7 +121,7 @@ class PlanCache:
             signature = tuple(sorted(arities.items()))
         return (canonical_key(expr), signature, tag)
 
-    def get(self, key: Hashable) -> Optional[PhysicalPlan]:
+    def get(self, key: Hashable) -> Optional["CodegenPlan"]:
         plan = self._plans.get(key)
         if plan is None:
             self.stats.misses += 1
@@ -128,7 +130,7 @@ class PlanCache:
         self.stats.hits += 1
         return plan
 
-    def put(self, key: Hashable, plan: PhysicalPlan) -> None:
+    def put(self, key: Hashable, plan: "CodegenPlan") -> None:
         if key in self._plans:
             self._plans.move_to_end(key)
         self._plans[key] = plan

@@ -1,18 +1,26 @@
-"""Columnar bag representation + count-vector kernels.
+"""The engine's one kernel set: columnar and dictionary bag kernels.
 
-The stream kernels (:mod:`repro.engine.kernels`) pull one
-``(value, count)`` pair at a time through a chain of Python
-generators; every row pays interpreter dispatch for every operator it
-crosses.  This module is the columnar half of the codegen runtime
-(:mod:`repro.engine.codegen`): a bag is two parallel arrays — a value
-array and a multiplicity-count array — and each kernel is one
-C-speed bulk operation (a dict comprehension, ``dict.fromkeys``, a
-list comprehension) over whole columns.  Hash-style operators (monus,
-min-intersect, max-union, join/product build sides) use plain
-``value -> count`` dicts, the dictionary form of the same columns.
+Every BALG operator the physical engine runs has exactly one kernel
+here, and the fused segments emitted by :mod:`repro.engine.codegen`
+(and the shard-local programs of
+:mod:`repro.engine.parallel.partition`) call nothing else.  A bag is
+either two parallel columns — a value array and a multiplicity-count
+array (:class:`ColumnarBag`; map images and union concatenations may
+repeat values) — or its dictionary form, a ``value -> count`` dict.
+Each kernel is one bulk operation (a dict comprehension,
+``dict.fromkeys``, a list comprehension) over whole columns or dicts;
+no kernel ever mutates an input.
 
-Semantics match :mod:`repro.core.ops` exactly — the differential
-harness's ``engine-codegen`` backend and the mutation tests in
+* hash-style operators (monus, min-intersect, max-union, additive
+  union, scale, and the sym-diff super-kernel) are dict -> dict;
+* map, select, product and hash join work on columns;
+* the *barrier* operators — flatten, nest, unnest, powerset and
+  powerbag — consume a whole materialised input and are dict -> dict.
+
+Every kernel takes the multiplicity semiring as ``sr`` (``None`` is
+the int fast path of the paper's N).  Semantics match
+:mod:`repro.core.ops` and :mod:`repro.core.nest` exactly — the
+differential harness and the mutation tests in
 ``tests/test_columnar.py`` pin this (a mutant that forgets the monus
 zero-clamp, the join multiplicity product, or the dedup collapse of
 the count column is caught within a handful of generated cases).
@@ -22,7 +30,8 @@ Governance: the quadratic kernels (:func:`c_product`,
 per ``TICK_CHUNK`` output rows, so step budgets, deadlines, and
 cancellation reach inside a single fused kernel.  The linear kernels
 are governed by their caller per kernel invocation (the emitted
-segment ticks proportionally to each result's size).
+segment ticks proportionally to each result's size); the powerset
+kernels check their budget before generating any subbag.
 """
 
 from __future__ import annotations
@@ -32,7 +41,11 @@ from typing import (
 )
 
 from repro.core.bag import Bag, Tup
-from repro.core.errors import BagTypeError
+from repro.core.errors import BagTypeError, BudgetExceeded
+from repro.core.ops import (
+    powerbag_multiplicity, powerbag_total, powerset_cardinality,
+    subbags,
+)
 
 __all__ = [
     "ColumnarBag", "to_columnar", "from_columnar", "columnar_counts",
@@ -40,6 +53,7 @@ __all__ = [
     "c_monus", "c_min_intersect", "c_max_union", "c_add_union",
     "c_dedup", "c_scale", "c_scale_dict", "c_map", "c_select",
     "c_product", "c_hash_join", "c_sym_diff_dedup",
+    "c_flatten", "c_nest", "c_unnest", "c_powerset", "c_powerbag",
 ]
 
 #: Output rows between governor ticks inside a quadratic kernel.
@@ -354,3 +368,134 @@ def c_hash_join(probe_values: Sequence[Any],
                 pending = 0
                 tick()
     return out_values, out_counts
+
+
+# ----------------------------------------------------------------------
+# Barrier kernels: a whole materialised input in, a dict out
+# ----------------------------------------------------------------------
+
+def c_flatten(counts: Dict[Any, int], sr=None) -> Dict[Any, int]:
+    """``delta(B)``: flatten one level of nesting, scaling the inner
+    multiplicities by the outer count and summing collisions."""
+    out: Dict[Any, int] = {}
+    get = out.get
+    if sr is not None:
+        coerce, mul, add = sr.coerce, sr.mul, sr.add
+    for inner, outer in counts.items():
+        if not isinstance(inner, Bag):
+            raise BagTypeError(
+                "bag-destroy requires a bag of bags, found element "
+                f"of type {type(inner).__name__}")
+        if sr is None:
+            for element, count in inner.items():
+                out[element] = get(element, 0) + count * outer
+            continue
+        outer = coerce(outer)
+        for element, count in inner.items():
+            scaled = mul(coerce(count), outer)
+            existing = get(element)
+            out[element] = (scaled if existing is None
+                            else add(existing, scaled))
+    return out
+
+
+def c_nest(counts: Dict[Any, int], group_indices: Tuple[int, ...],
+           sr=None) -> Dict[Any, int]:
+    """``nest_J(B)``: group by the complement of ``group_indices``,
+    collecting the J-projections into an inner bag (semantics of
+    :func:`repro.core.nest.nest_bag`)."""
+    groups: Dict[Tup, Dict[Any, int]] = {}
+    rest_indices: Optional[Tuple[int, ...]] = None
+    for element, count in counts.items():
+        _require_tup(element, "nest")
+        if max(group_indices) > element.arity or min(group_indices) < 1:
+            raise BagTypeError(
+                f"nest indices {group_indices} out of range for arity "
+                f"{element.arity}")
+        if rest_indices is None:
+            rest_indices = tuple(i for i in range(1, element.arity + 1)
+                                 if i not in group_indices)
+        key = Tup(*(element.attribute(i) for i in rest_indices))
+        grouped = Tup(*(element.attribute(i) for i in group_indices))
+        bucket = groups.setdefault(key, {})
+        if sr is None:
+            bucket[grouped] = bucket.get(grouped, 0) + count
+        else:
+            existing = bucket.get(grouped)
+            count = sr.coerce(count)
+            bucket[grouped] = (count if existing is None
+                               else sr.add(existing, count))
+    one = 1 if sr is None else sr.one
+    return {Tup(*key.items(), Bag.from_counts(bucket)): one
+            for key, bucket in groups.items()}
+
+
+def c_unnest(counts: Dict[Any, int], index: int,
+             sr=None) -> Dict[Any, int]:
+    """``unnest_i(B)``: expand the bag-valued attribute ``i``,
+    multiplying multiplicities (:func:`repro.core.nest.unnest_bag`)."""
+    out: Dict[Any, int] = {}
+    get = out.get
+    for element, count in counts.items():
+        _require_tup(element, "unnest")
+        if not 1 <= index <= element.arity:
+            raise BagTypeError(
+                f"unnest index {index} out of range for arity "
+                f"{element.arity}")
+        inner = element.attribute(index)
+        if not isinstance(inner, Bag):
+            raise BagTypeError(f"attribute {index} is not bag-valued")
+        prefix = element.items()[:index - 1]
+        suffix = element.items()[index:]
+        if sr is not None:
+            count = sr.coerce(count)
+        for member, inner_count in inner.items():
+            # inner tuples splice componentwise; other values occupy
+            # a single attribute
+            spliced = (member.items() if isinstance(member, Tup)
+                       else (member,))
+            flat = Tup(*prefix, *spliced, *suffix)
+            if sr is None:
+                out[flat] = get(flat, 0) + count * inner_count
+            else:
+                scaled = sr.mul(count, sr.coerce(inner_count))
+                existing = get(flat)
+                out[flat] = (scaled if existing is None
+                             else sr.add(existing, scaled))
+    return out
+
+
+def _power_base(counts: Dict[Any, int], operation: str, sr) -> Bag:
+    if sr is not None and not sr.integer_counts:
+        raise BagTypeError(
+            f"{operation} requires integer multiplicities; semiring "
+            f"{sr.name!r} does not provide them")
+    return Bag.from_counts(counts)
+
+
+def c_powerset(counts: Dict[Any, int], budget: Optional[int],
+               sr=None) -> Dict[Any, int]:
+    """``P(B)``: every subbag once; the budget check fires before any
+    subbag is generated (Prop 3.2 territory)."""
+    base = _power_base(counts, "powerset", sr)
+    cardinality = powerset_cardinality(base)
+    if budget is not None and cardinality > budget:
+        raise BudgetExceeded(
+            f"powerset would contain {cardinality} subbags, "
+            f"budget is {budget}", budget="powerset", limit=budget,
+            observed=cardinality)
+    return dict.fromkeys(subbags(base), 1)
+
+
+def c_powerbag(counts: Dict[Any, int], budget: Optional[int],
+               sr=None) -> Dict[Any, int]:
+    """``P_b(B)``: the duplicate-aware powerset of Definition 5.1."""
+    base = _power_base(counts, "powerbag", sr)
+    total = powerbag_total(base)
+    if budget is not None and total > budget:
+        raise BudgetExceeded(
+            f"powerbag would contain {total} subbags (with duplicates), "
+            f"budget is {budget}", budget="powerbag", limit=budget,
+            observed=total)
+    return {subbag: powerbag_multiplicity(base, subbag)
+            for subbag in subbags(base)}

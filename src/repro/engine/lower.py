@@ -63,7 +63,9 @@ HASH_JOIN_THRESHOLD = 16.0
 
 
 class PhysicalPlan:
-    """A lowered plan: the root physical node plus provenance."""
+    """A lowered plan: the root physical node plus provenance.  The
+    codegen stage compiles it into the executable
+    :class:`~repro.engine.codegen.CodegenPlan`."""
 
     __slots__ = ("root", "expr", "statistics_used")
 
@@ -73,12 +75,9 @@ class PhysicalPlan:
         self.expr = expr
         self.statistics_used = statistics_used
 
-    def execute(self, ctx) -> Any:
-        return self.root.execute(ctx)
-
-    def render(self) -> str:
+    def render(self, actual: Optional[Mapping[int, int]] = None) -> str:
         from repro.engine.physical import render_plan
-        return render_plan(self.root)
+        return render_plan(self.root, actual=actual)
 
     def __repr__(self) -> str:
         return f"PhysicalPlan({type(self.root).__name__})"

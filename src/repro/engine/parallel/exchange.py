@@ -160,10 +160,9 @@ def adaptive_shards(config: ParallelConfig,
 class Partition(PhysicalNode):
     """Declares the partition key for one exchange input slot.
 
-    Execution is a serial passthrough — the actual sharding happens in
-    the parent :class:`Exchange`, which needs the materialised dict
-    anyway.  The node exists so ``:explain`` shows where the plan
-    partitions and on what key.
+    The child compiles into its own fused segment; the parent
+    :class:`Exchange` shards the materialised result.  The node exists
+    so ``:explain`` shows where the plan partitions and on what key.
     """
 
     __slots__ = ("child", "key")
@@ -178,12 +177,9 @@ class Partition(PhysicalNode):
     def children(self):
         return (self.child,)
 
-    def _rows(self, ctx):
-        return self.child.rows(ctx)
-
-    def label(self):
+    def label(self, actual_rows=None):
         shown = "value" if self.key is None else list(self.key)
-        return super().label() + f"  key={shown}"
+        return super().label(actual_rows) + f"  key={shown}"
 
 
 class Exchange(PhysicalNode):
@@ -215,25 +211,24 @@ class Exchange(PhysicalNode):
     def children(self):
         return self.partitions
 
-    def label(self):
+    def label(self, actual_rows=None):
         steps = ",".join(step[0] for step in self.program)
-        return super().label() + f"  program=[{steps}]"
+        return super().label(actual_rows) + f"  program=[{steps}]"
 
     # -- execution --------------------------------------------------------
 
-    def _rows(self, ctx):
-        inputs = [ctx.collect(part) for part in self.partitions]
-        config = getattr(ctx, "parallel", None)
-        sr = getattr(ctx, "semiring", None)
+    def run(self, ctx, inputs: List[Dict[Any, int]]) -> Dict[Any, int]:
+        """Run the program over the materialised partition inputs (in
+        ``partitions`` order); returns the gathered counts."""
+        config = ctx.parallel
+        sr = ctx.semiring
         if config is None:
-            merged = execute_program(
+            return execute_program(
                 self.program, inputs, tick=self._serial_tick(ctx),
                 every=ctx.tick_interval, stats=ctx.stats,
                 check_size=self._size_check(ctx), tag=self.tag,
                 sr=sr)
-        else:
-            merged = self._run_sharded(ctx, config, inputs, sr)
-        yield from merged.items()
+        return self._run_sharded(ctx, config, inputs, sr)
 
     @staticmethod
     def _serial_tick(ctx):
@@ -292,8 +287,9 @@ class Exchange(PhysicalNode):
 
 
 class Gather(PhysicalNode):
-    """The barrier above an exchange: counts the gather and resumes
-    serial, value-order-free streaming."""
+    """The barrier above an exchange, where value-disjointness ends:
+    the codegen stage computes it out of line and feeds the gathered
+    counts to the enclosing segment."""
 
     __slots__ = ("child",)
     kernel = "gather"
@@ -304,10 +300,6 @@ class Gather(PhysicalNode):
 
     def children(self):
         return (self.child,)
-
-    def _rows(self, ctx):
-        ctx.stats.gather_barriers += 1
-        return self.child.rows(ctx)
 
 
 # ----------------------------------------------------------------------

@@ -52,10 +52,9 @@ from repro.core.expr import (
     Var, _compare,
 )
 from repro.core.nest import Nest
-from repro.engine import kernels
 from repro.engine.columnar import (
     c_add_union, c_hash_join, c_max_union, c_min_intersect, c_monus,
-    c_scale_dict, sum_counts,
+    c_nest, c_scale_dict, sum_counts,
 )
 
 __all__ = [
@@ -293,8 +292,7 @@ def _compile_step(step: Tuple, sr=None) -> Tuple[str, Callable]:
         return op, join
     if op == "nest":
         i, indices = step[1], step[2]
-        return op, lambda slots, tick: dict(
-            kernels.k_nest(slots[i], indices, sr=sr))
+        return op, lambda slots, tick: c_nest(slots[i], indices, sr)
     raise ValueError(f"unknown segment op {op!r}")  # pragma: no cover
 
 
@@ -369,8 +367,8 @@ def execute_program(program: Sequence[Tuple],
     one bulk dict operation instead of a per-row generator chain.
     Governance is preserved per step: the driver ticks once before a
     step and proportionally to the result size after it (so budgets,
-    deadlines, and cancellation trip with the same granularity the
-    stream kernels had), the join kernel additionally ticks inside
+    deadlines, and cancellation trip with the granularity of the
+    serial fused segments), the join kernel additionally ticks inside
     per ``TICK_CHUNK`` emitted rows, and every step's materialised
     size passes through ``check_size``.
 

@@ -1,38 +1,38 @@
-"""Physical plan IR: pipelined operator nodes over multiplicity streams.
+"""Physical plan IR: the lowered operator tree the codegen stage compiles.
 
-A physical plan is a tree of :class:`PhysicalNode` objects produced by
-the lowering pass (:mod:`repro.engine.lower`).  Execution is a pull
-model: every node exposes :meth:`PhysicalNode.rows`, a generator of
-``(value, multiplicity)`` pairs in which the same value may appear more
-than once — downstream consumers and the final materialisation sum the
-counts.  Streaming nodes (map, select, scale, dedup, flatten) never
-materialise their input; hash nodes materialise exactly the sides the
-kernel needs (:mod:`repro.engine.kernels`).
+A physical plan is a tree (a DAG, where lowering shares common
+subexpressions) of :class:`PhysicalNode` objects produced by the
+lowering pass (:mod:`repro.engine.lower`).  Nodes are pure plan data —
+the kernel choice, its parameters, and the lowering-time estimate
+(``estimated``).  They hold no run state and do not execute
+themselves: the codegen stage (:mod:`repro.engine.codegen`) compiles
+every plan into fused segments over the one kernel set
+(:mod:`repro.engine.columnar`), and that is the only way a plan runs.
 
-Governance: the :class:`ExecContext` carries the run's
-:class:`~repro.guard.ResourceGovernor`.  Each node ticks the governor
-once when it starts producing and once every ``_TICK_EVERY`` emitted
-rows, and every materialisation point (hash builds, shared
-intermediates, the sealed result) enforces the intermediate-size
-budget — so step budgets, deadlines, cancellation, and injected faults
-apply to engine execution exactly as they do to the tree walker.
+Per-run state lives in the :class:`ExecContext`: bindings, the
+run's :class:`~repro.guard.ResourceGovernor`, the shared-subexpression
+memo, and the :class:`EngineStats` counters.  Emitted segments tick the
+governor proportionally to the rows each kernel produces and enforce
+the intermediate-size budget on every materialised dict, so step
+budgets, deadlines, cancellation, and injected faults apply to engine
+execution exactly as they do to the tree walker.
 
-Every node records the number of rows it emitted during the last
-execution (``actual_rows``) next to the lowering-time estimate
-(``estimated``); ``:explain`` in the CLI prints both.
+Per-node *actual* row counts are run state too: the emitted code
+records them into ``EngineStats.node_rows`` (keyed by node identity),
+and :func:`render_plan` prints them next to the estimates — so one
+cached plan serving two runs shows each run its own counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (
-    Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple,
+    Any, Callable, Dict, List, Mapping, Optional, Tuple,
 )
 
 from repro.core.bag import Bag
 from repro.core.database import encoding_size
 from repro.core.errors import UnboundVariableError
-from repro.engine import kernels
 from repro.planner.stats import BagStats
 
 __all__ = [
@@ -55,8 +55,11 @@ class EngineStats:
 
     #: kernel name -> number of node executions that used it.
     kernel_counts: Dict[str, int] = field(default_factory=dict)
-    #: Total rows emitted across all nodes (before count-merging).
+    #: Total rows produced across all kernel executions.
     rows_emitted: int = 0
+    #: Actual rows per plan node (``id(node) -> rows``, summed over
+    #: executions): what ``:explain`` prints next to the estimates.
+    node_rows: Dict[int, int] = field(default_factory=dict)
     #: Number of expressions lowered to physical plans.
     lowerings: int = 0
     #: Plan-cache hits / misses observed by the engine entry point.
@@ -90,9 +93,10 @@ class EngineStats:
     bytes_shipped: int = 0
     segment_cache_hits: int = 0
     segment_cache_misses: int = 0
-    #: Codegen counters: fused-segment executions and barrier-leaf
-    #: fallbacks to the stream kernels (``engine=codegen`` only; the
-    #: ``:explain`` codegen footer prints both).
+    #: Codegen counters: fused-segment executions, and executions of
+    #: the operators no segment can pipeline through — the barrier
+    #: kernels (flatten, nest, unnest, powerset, powerbag) and oracle
+    #: subtrees (the ``:explain`` codegen footer prints both).
     fused_segments: int = 0
     barrier_fallbacks: int = 0
     #: Execution-feedback counters: per-relation total rows observed
@@ -126,6 +130,8 @@ class EngineStats:
             self.kernel_counts[name] = (
                 self.kernel_counts.get(name, 0) + count)
         self.rows_emitted += other.rows_emitted
+        for key, rows in other.node_rows.items():
+            self.node_rows[key] = self.node_rows.get(key, 0) + rows
         self.lowerings += other.lowerings
         self.cache_hits += other.cache_hits
         self.cache_misses += other.cache_misses
@@ -162,6 +168,7 @@ class EngineStats:
         merged = EngineStats(
             kernel_counts=dict(self.kernel_counts),
             rows_emitted=self.rows_emitted,
+            node_rows=dict(self.node_rows),
             lowerings=self.lowerings,
             cache_hits=self.cache_hits,
             cache_misses=self.cache_misses,
@@ -270,72 +277,31 @@ class ExecContext:
                        for value, count in counts.items())
         governor.check_size(size, self.evaluator.stats)
 
-    def collect(self, node: "PhysicalNode") -> Dict[Any, int]:
-        """Materialise a child node under governance."""
-        if self.governor is None:
-            counts = kernels.collect(node.rows(self), sr=self.semiring)
-        else:
-            counts = kernels.collect(
-                node.rows(self), tick=self.tick,
-                every=self._tick_interval,
-                get_every=lambda: self._tick_interval,
-                sr=self.semiring)
-        self.check_size(counts)
-        return counts
-
 
 class PhysicalNode:
-    """Base class of physical operators.
+    """Base class of physical operators: the kernel label, the
+    lowering-time estimate, and the dataflow children."""
 
-    Subclasses implement ``_rows(ctx)``; the public :meth:`rows`
-    wrapper does the bookkeeping every node shares — kernel counters,
-    governor ticks, and the emitted-row counts that ``:explain``
-    reports as *actual* cardinalities.
-    """
-
-    __slots__ = ("estimated", "actual_rows")
+    __slots__ = ("estimated",)
 
     #: Kernel label shown by ``:explain`` (subclasses override).
     kernel = "?"
 
     def __init__(self, estimated: Optional[BagStats] = None):
         self.estimated = estimated
-        self.actual_rows: Optional[int] = None
 
     def children(self) -> Tuple["PhysicalNode", ...]:
         return ()
 
-    def _rows(self, ctx: ExecContext) -> Iterator[Tuple[Any, int]]:
-        raise NotImplementedError
+    def _head(self) -> str:
+        return f"{type(self).__name__}  kernel={self.kernel}"
 
-    def rows(self, ctx: ExecContext) -> Iterator[Tuple[Any, int]]:
-        ctx.stats.record_kernel(self.kernel)
-        ctx.tick()
-        emitted = 0
-        pending = 0
-        governed = ctx.governor is not None
-        for pair in self._rows(ctx):
-            emitted += 1
-            if governed:
-                pending += 1
-                if pending >= ctx.tick_interval:
-                    pending = 0
-                    ctx.tick()
-            yield pair
-        self.actual_rows = emitted
-        ctx.stats.rows_emitted += emitted
-
-    def execute(self, ctx: ExecContext) -> Any:
-        """Materialise this node's stream into a sealed Bag."""
-        counts = ctx.collect(self)
-        return Bag.from_counts(counts)
-
-    def label(self) -> str:
-        parts = [f"{type(self).__name__}  kernel={self.kernel}"]
+    def label(self, actual_rows: Optional[int] = None) -> str:
+        parts = [self._head()]
         if self.estimated is not None:
             parts.append(f"est card {self.estimated.cardinality:g}")
-        if self.actual_rows is not None:
-            parts.append(f"actual rows {self.actual_rows}")
+        if actual_rows is not None:
+            parts.append(f"actual rows {actual_rows}")
         return "  ".join(parts)
 
 
@@ -353,23 +319,8 @@ class ScanBag(PhysicalNode):
         super().__init__(estimated)
         self.name = name
 
-    def _rows(self, ctx):
-        value = ctx.lookup(self.name)
-        if not isinstance(value, Bag):
-            raise UnboundVariableError(
-                f"binding {self.name!r} is not a bag "
-                f"(got {type(value).__name__})")
-        # feedback: one observation per scan (O(1), the cardinality
-        # is cached on the bag) so catalogs can absorb actuals
-        ctx.stats.record_scan(self.name, value.cardinality)
-        yield from value.items()
-
-    def label(self):
-        return f"ScanBag {self.name}  kernel={self.kernel}" + (
-            f"  est card {self.estimated.cardinality:g}"
-            if self.estimated is not None else "") + (
-            f"  actual rows {self.actual_rows}"
-            if self.actual_rows is not None else "")
+    def _head(self):
+        return f"ScanBag {self.name}  kernel={self.kernel}"
 
 
 class ConstSource(PhysicalNode):
@@ -381,13 +332,6 @@ class ConstSource(PhysicalNode):
     def __init__(self, value: Bag, estimated=None):
         super().__init__(estimated)
         self.value = value
-
-    def _rows(self, ctx):
-        sr = ctx.semiring
-        if sr is not None:
-            yield from sr.adapt_bag(self.value).items()
-        else:
-            yield from self.value.items()
 
 
 class OracleEval(PhysicalNode):
@@ -405,19 +349,6 @@ class OracleEval(PhysicalNode):
         super().__init__(estimated)
         self.expr = expr
 
-    def _rows(self, ctx):
-        result = ctx.eval_oracle(self.expr)
-        if not isinstance(result, Bag):
-            raise UnboundVariableError(
-                f"oracle subtree produced a non-bag "
-                f"{type(result).__name__} in bag position")
-        yield from result.items()
-
-    def execute(self, ctx: ExecContext) -> Any:
-        # At the root, a non-bag result (tuple/atom) is returned as-is.
-        ctx.stats.record_kernel(self.kernel)
-        return ctx.eval_oracle(self.expr)
-
 
 class SharedScan(PhysicalNode):
     """A common subexpression: materialised once per run, then served
@@ -433,16 +364,6 @@ class SharedScan(PhysicalNode):
 
     def children(self):
         return (self.inner,)
-
-    def _rows(self, ctx):
-        counts = ctx.memo.get(id(self))
-        if counts is None:
-            counts = ctx.collect(self.inner)
-            ctx.memo[id(self)] = counts
-            ctx.stats.shared_materialized += 1
-        else:
-            ctx.stats.shared_reused += 1
-        yield from counts.items()
 
 
 # ----------------------------------------------------------------------
@@ -463,28 +384,17 @@ class _BinaryNode(PhysicalNode):
 
 
 class HashUnion(_BinaryNode):
-    """``(+)``: fully pipelined — both streams pass through and the
-    consumer sums counts."""
+    """``(+)``: pointwise count sum."""
 
     __slots__ = ()
     kernel = "additive-union"
 
-    def _rows(self, ctx):
-        return kernels.k_additive_union(self.left.rows(ctx),
-                                        self.right.rows(ctx))
-
 
 class HashDifference(_BinaryNode):
-    """``-`` (monus): right side builds a hash, left side builds too
-    (exact counts needed on both)."""
+    """``-`` (monus) over both materialised sides."""
 
     __slots__ = ()
     kernel = "monus"
-
-    def _rows(self, ctx):
-        right = ctx.collect(self.right)
-        left = ctx.collect(self.left)
-        return kernels.k_monus(left, right, sr=ctx.semiring)
 
 
 class HashIntersect(_BinaryNode):
@@ -494,11 +404,6 @@ class HashIntersect(_BinaryNode):
     __slots__ = ()
     kernel = "min-intersect"
 
-    def _rows(self, ctx):
-        small = ctx.collect(self.left)
-        large = ctx.collect(self.right)
-        return kernels.k_min_intersect(small, large, sr=ctx.semiring)
-
 
 class HashMaxUnion(_BinaryNode):
     """``u`` (max): both sides materialised."""
@@ -506,14 +411,9 @@ class HashMaxUnion(_BinaryNode):
     __slots__ = ()
     kernel = "max-union"
 
-    def _rows(self, ctx):
-        left = ctx.collect(self.left)
-        right = ctx.collect(self.right)
-        return kernels.k_max_union(left, right, sr=ctx.semiring)
-
 
 # ----------------------------------------------------------------------
-# Streaming unary operators
+# Unary operators
 # ----------------------------------------------------------------------
 
 class _UnaryNode(PhysicalNode):
@@ -528,19 +428,16 @@ class _UnaryNode(PhysicalNode):
 
 
 class HashDedup(_UnaryNode):
-    """``eps``: streaming dedup over an O(distinct) seen-set."""
+    """``eps``: duplicate elimination."""
 
     __slots__ = ()
     kernel = "dedup"
 
-    def _rows(self, ctx):
-        return kernels.k_dedup(self.child.rows(ctx), sr=ctx.semiring)
-
 
 class StreamingMap(_UnaryNode):
-    """``MAP``: pipelined; ``fn`` is a compiled closure when the
-    lowering pass recognised the lambda shape, otherwise an
-    evaluator-backed application."""
+    """``MAP``: ``fn`` is a compiled closure when the lowering pass
+    recognised the lambda shape, otherwise ``None`` and the lambda is
+    applied through the evaluator."""
 
     __slots__ = ("lam", "fn", "compiled")
     kernel = "map"
@@ -552,16 +449,9 @@ class StreamingMap(_UnaryNode):
         self.fn = fn
         self.compiled = fn is not None
 
-    def _rows(self, ctx):
-        fn = self.fn
-        if fn is None:
-            lam = self.lam
-            fn = lambda value: ctx.apply_lambda(lam, value)  # noqa: E731
-        return kernels.k_map(self.child.rows(ctx), fn)
-
 
 class StreamingSelect(_UnaryNode):
-    """``sigma``: pipelined filter; predicate compiled when possible."""
+    """``sigma``: filter; predicate compiled when possible."""
 
     __slots__ = ("make_predicate", "compiled")
     kernel = "select"
@@ -571,10 +461,6 @@ class StreamingSelect(_UnaryNode):
         super().__init__(child, estimated)
         self.make_predicate = make_predicate
         self.compiled = compiled
-
-    def _rows(self, ctx):
-        return kernels.k_select(self.child.rows(ctx),
-                                self.make_predicate(ctx))
 
 
 class MultiplicityScale(_UnaryNode):
@@ -588,27 +474,19 @@ class MultiplicityScale(_UnaryNode):
         super().__init__(child, estimated)
         self.factor = factor
 
-    def _rows(self, ctx):
-        return kernels.k_scale(self.child.rows(ctx), self.factor,
-                               sr=ctx.semiring)
-
-    def label(self):
-        return super().label() + f"  x{self.factor}"
+    def label(self, actual_rows=None):
+        return super().label(actual_rows) + f"  x{self.factor}"
 
 
 class FlattenBags(_UnaryNode):
-    """``delta``: pipelined flatten, scaling inner by outer counts."""
+    """``delta``: flatten, scaling inner by outer counts (barrier)."""
 
     __slots__ = ()
     kernel = "flatten"
 
-    def _rows(self, ctx):
-        return kernels.k_flatten(self.child.rows(ctx),
-                                 sr=ctx.semiring)
-
 
 class NestBuild(_UnaryNode):
-    """``nest_J``: grouping kernel (materialises its input)."""
+    """``nest_J``: grouping kernel (barrier)."""
 
     __slots__ = ("indices",)
     kernel = "nest-build"
@@ -618,13 +496,9 @@ class NestBuild(_UnaryNode):
         super().__init__(child, estimated)
         self.indices = indices
 
-    def _rows(self, ctx):
-        return kernels.k_nest(ctx.collect(self.child), self.indices,
-                              sr=ctx.semiring)
-
 
 class UnnestExpand(_UnaryNode):
-    """``unnest_i``: pipelined expansion of a bag-valued attribute."""
+    """``unnest_i``: expansion of a bag-valued attribute (barrier)."""
 
     __slots__ = ("index",)
     kernel = "unnest"
@@ -633,13 +507,9 @@ class UnnestExpand(_UnaryNode):
         super().__init__(child, estimated)
         self.index = index
 
-    def _rows(self, ctx):
-        return kernels.k_unnest(self.child.rows(ctx), self.index,
-                                sr=ctx.semiring)
-
 
 class PowersetExpand(_UnaryNode):
-    """``P`` / ``P_b``: budget-checked subbag expansion."""
+    """``P`` / ``P_b``: budget-checked subbag expansion (barrier)."""
 
     __slots__ = ("duplicate_aware",)
 
@@ -652,21 +522,13 @@ class PowersetExpand(_UnaryNode):
     def kernel(self) -> str:  # type: ignore[override]
         return "powerbag" if self.duplicate_aware else "powerset"
 
-    def _rows(self, ctx):
-        counts = ctx.collect(self.child)
-        if self.duplicate_aware:
-            return kernels.k_powerbag(counts, ctx.powerset_budget,
-                                      sr=ctx.semiring)
-        return kernels.k_powerset(counts, ctx.powerset_budget,
-                                  sr=ctx.semiring)
-
 
 # ----------------------------------------------------------------------
 # Products and joins
 # ----------------------------------------------------------------------
 
 class NestedLoopProduct(_BinaryNode):
-    """``x``: stream the left side against a materialised right side.
+    """``x``: the left side probes a materialised right side.
 
     The lowering pass uses this when no equality predicate can be
     fused, or when the estimated inputs are too small for a hash join
@@ -675,11 +537,6 @@ class NestedLoopProduct(_BinaryNode):
 
     __slots__ = ()
     kernel = "nested-loop-product"
-
-    def _rows(self, ctx):
-        build = ctx.collect(self.right)
-        return kernels.k_product(self.left.rows(ctx), build,
-                                 sr=ctx.semiring)
 
 
 class HashJoin(_BinaryNode):
@@ -708,30 +565,19 @@ class HashJoin(_BinaryNode):
             return lambda tup: tup.attribute(index)
         return lambda tup: tuple(tup.attribute(i) for i in indices)
 
-    def _rows(self, ctx):
-        left_key = self._key_fn(self.left_key)
-        right_key = self._key_fn(self.right_key)
-        if self.build_right:
-            build = ctx.collect(self.right)
-            return kernels.k_hash_join(self.left.rows(ctx), build,
-                                       left_key, right_key,
-                                       probe_is_left=True,
-                                       sr=ctx.semiring)
-        build = ctx.collect(self.left)
-        return kernels.k_hash_join(self.right.rows(ctx), build,
-                                   right_key, left_key,
-                                   probe_is_left=False,
-                                   sr=ctx.semiring)
-
-    def label(self):
+    def label(self, actual_rows=None):
         keys = (f"L{list(self.left_key)}=R{list(self.right_key)}"
                 f"  build={'right' if self.build_right else 'left'}")
-        return super().label() + "  " + keys
+        return super().label(actual_rows) + "  " + keys
 
 
-def render_plan(node: PhysicalNode, indent: int = 0) -> str:
-    """Render a physical plan tree as text (used by ``:explain``)."""
-    lines = ["  " * indent + node.label()]
+def render_plan(node: PhysicalNode, indent: int = 0,
+                actual: Optional[Mapping[int, int]] = None) -> str:
+    """Render a physical plan tree as text (used by ``:explain``);
+    ``actual`` (a run's ``EngineStats.node_rows``) adds each node's
+    measured rows."""
+    lines = ["  " * indent + node.label(
+        None if actual is None else actual.get(id(node)))]
     for child in node.children():
-        lines.append(render_plan(child, indent + 1))
+        lines.append(render_plan(child, indent + 1, actual))
     return "\n".join(lines)

@@ -4,6 +4,7 @@ One pass-managed pipeline behind every entry point::
 
     parse/typecheck -> normalize -> logical rewrite
                     -> cost-based lowering -> (optional) parallelize
+                    -> codegen (fused closures: the one executor)
 
 * :mod:`repro.planner.stats` — the single shared cardinality/cost
   estimator (``repro.optimizer.cardinality`` is a shim over it);
@@ -22,8 +23,8 @@ One pass-managed pipeline behind every entry point::
 Opt levels: ``0`` disables every rewrite and lowers naively (the
 differential testkit's ``engine-opt0`` backend), ``1`` is
 normalization plus cost-based lowering (the default physical path),
-``2`` adds the full algebraic rewrite fixpoint.  See
-``docs/planner.md``.
+``2`` adds the full algebraic rewrite fixpoint, ``3`` runs level 2's
+passes (the ``engine="codegen"`` default).  See ``docs/planner.md``.
 """
 
 from repro.planner.context import (

@@ -64,16 +64,20 @@ def is_set_value(value: Any) -> bool:
 class SetEvaluator(Evaluator):
     """Evaluates a BALG expression under *set* semantics.
 
-    Every intermediate bag is deduplicated (recursively at the top
-    level only — inner bags were themselves produced by deduplicated
-    steps), which is precisely how the nested relational algebra
-    interprets the same operator symbols.  Additive union collapses to
-    union, Cartesian product to relational product, MAP to relational
-    restructuring, powerset to the relational powerset.
+    Every intermediate bag is deduplicated (at the top level only —
+    inner bags were themselves produced by deduplicated steps), which
+    is precisely how the nested relational algebra interprets the same
+    operator symbols.  Additive union collapses to union, Cartesian
+    product to relational product, MAP to relational restructuring,
+    powerset to the relational powerset.  In RALG^k every collection
+    is a set at every nesting level, so inputs and constants — the
+    values no step produced — are deep-deduplicated.
     """
 
     def eval(self, expr: Expr, env) -> Any:
         result = super().eval(expr, env)
+        if isinstance(expr, Const):
+            return deep_dedup(result)
         if isinstance(result, Bag):
             result = Bag.from_counts(
                 {element: 1 for element in result.distinct()})

@@ -24,7 +24,7 @@ from typing import List, Optional
 from repro.guard import Limits
 from repro.testkit.corpus import save_case
 from repro.testkit.differential import (
-    DEFAULT_BACKENDS, DEFAULT_LIMITS, Harness, RunSummary,
+    DEFAULT_BACKENDS, DEFAULT_LIMITS, EXTRA_BACKENDS, Harness, RunSummary,
 )
 from repro.testkit.generate import (
     FRAGMENT_NESTING, generate_case, shrink_case,
@@ -55,7 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         default=",".join(DEFAULT_BACKENDS),
                         help="comma-separated backend list (default: "
                              + ",".join(DEFAULT_BACKENDS)
-                             + "; also available: engine-opt2)")
+                             + "; also available: "
+                             + ",".join(EXTRA_BACKENDS) + ")")
     parser.add_argument("--corpus", default="tests/corpus",
                         help="directory for minimized failing cases "
                              "(default: tests/corpus)")

@@ -1,7 +1,6 @@
 """The N-way differential harness.
 
-Every case runs through up to ten independently written evaluation
-paths:
+Every case runs through up to ten evaluation paths:
 
 ======================  ================================================
 backend                 what it exercises
@@ -27,14 +26,12 @@ backend                 what it exercises
                         no reordering, no sharing) — the purely
                         syntax-directed plan on trial against the
                         optimized ones
-``engine-codegen``      the columnar codegen engine (opt level 3):
-                        plans compile to fused Python closures over
-                        the bulk kernels of
-                        :mod:`repro.engine.columnar`, with
-                        powerset/flatten subtrees running as stream
-                        barrier leaves — segment fusion, the
-                        super-kernels (sym-diff-dedup, in-place
-                        dedup-union, scale folding), and the
+``engine-opt2``         the engine at opt level 2 (the rewrite
+                        fixpoint plus cost-based lowering; the same
+                        passes ``engine="codegen"`` defaults to) —
+                        segment fusion, the super-kernels
+                        (sym-diff-dedup, in-place dedup-union, scale
+                        folding), the inline barrier kernels, and the
                         dict/column currency conversions on trial
 ``optimized``           the planner's full rewrite fixpoint (opt
                         level 2), then the oracle on the rewritten
@@ -45,13 +42,10 @@ backend                 what it exercises
                         the mini-SQL pipeline end to end
 ======================  ================================================
 
-``engine-opt2`` (the physical engine at opt level 2) is also
-recognized — CI's conformance leg fuzzes ``oracle`` vs ``engine-opt0``
-vs ``engine-opt2`` — but is not in :data:`DEFAULT_BACKENDS`, since
-``optimized`` already covers rewrite soundness there.  So is
 ``engine-parallel-codegen`` (the parallel executor under the opt-3
-pass config): workers execute the compiled columnar segment closures
-through the worker-resident segment cache, keyed by a *different*
+pass config) is also recognized but not in :data:`DEFAULT_BACKENDS`:
+workers execute the compiled columnar segment closures through the
+worker-resident segment cache, keyed by a *different*
 ``PassConfig.cache_tag()`` than ``engine-parallel``'s — CI's
 parallel-parity job fuzzes it against the oracle.
 
@@ -118,16 +112,16 @@ __all__ = [
 
 #: Backend execution order; the first ``ok`` outcome is the reference.
 DEFAULT_BACKENDS = ("oracle", "engine", "engine-warm", "engine-parallel",
-                    "engine-chaos", "engine-opt0", "engine-codegen",
+                    "engine-chaos", "engine-opt0", "engine-opt2",
                     "optimized", "surface", "sql")
 
-#: Valid but non-default backends: CI's opt0-vs-opt2 fuzz leg, the
-#: parallel-parity job's fused-columnar leg (the parallel backend at
-#: opt level 3, i.e. workers executing codegen-stage plans through
-#: the worker-resident compiled-segment cache), and the semiring
-#: tri-equivalence legs (Bool-semiring engine vs the relational
-#: SetEvaluator vs δ of the N result).
-EXTRA_BACKENDS = ("engine-opt2", "engine-parallel-codegen",
+#: Valid but non-default backends: the parallel-parity job's
+#: fused-columnar leg (the parallel backend at opt level 3, i.e.
+#: workers executing opt-3 plans through the worker-resident
+#: compiled-segment cache), and the semiring tri-equivalence legs
+#: (Bool-semiring engine vs the relational SetEvaluator vs δ of the N
+#: result).
+EXTRA_BACKENDS = ("engine-parallel-codegen",
                   "engine-boolean", "ralg", "delta-bag")
 
 #: Backends that evaluate under set semantics: they form their own
@@ -326,9 +320,8 @@ class Harness:
                     min_morsel_rows=1, catalog=self.catalog)
             elif backend == "engine-parallel-codegen":
                 # the parallel backend at opt level 3: workers execute
-                # the same fused-pipeline plans the codegen stage
-                # produces, through the worker-resident compiled
-                # segment cache
+                # the opt-3 plans' shard programs through the
+                # worker-resident compiled segment cache
                 value = engine_evaluate(
                     case.expr, case.database, cache=None,
                     governor=self.governor(), engine="parallel",
@@ -352,11 +345,6 @@ class Harness:
                 value = engine_evaluate(
                     case.expr, case.database, cache=None,
                     governor=self.governor(), opt_level=0,
-                    catalog=self.catalog)
-            elif backend == "engine-codegen":
-                value = engine_evaluate(
-                    case.expr, case.database, cache=None,
-                    governor=self.governor(), engine="codegen",
                     catalog=self.catalog)
             elif backend == "engine-opt2":
                 value = engine_evaluate(

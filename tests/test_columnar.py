@@ -6,12 +6,13 @@ Three layers:
   (including empty bags and multiplicities past 2^16) and the bulk
   kernels of :mod:`repro.engine.columnar` pinned one by one;
 * **compiler** — segment fusion, super-kernel pattern matches
-  (sym-diff-dedup, in-place dedup-union, scale folding), barrier
-  fallbacks, SharedScan transparency, plan-cache key isolation from
-  the stream plans, and the ``:explain`` counters;
+  (sym-diff-dedup, in-place dedup-union, scale folding), inline
+  barrier kernels, SharedScan transparency, every engine and opt
+  level compiling to a :class:`CodegenPlan`, and the ``:explain``
+  counters;
 * **mutation teeth** — the monus count-clamp, the join multiplicity
   product, and the dedup count-collapse each get a deliberately
-  broken kernel; the ``oracle`` vs ``engine-codegen`` differential
+  broken kernel; the ``oracle`` vs ``engine-opt2`` differential
   must catch every mutant within 10 generated cases (emitted segments
   call kernels through the module object, so patching
   ``repro.engine.columnar`` attributes reaches inside compiled
@@ -42,8 +43,7 @@ from repro.engine.columnar import (
     c_select, c_sym_diff_dedup, columnar_counts, from_columnar,
     sum_counts, to_columnar,
 )
-from repro.planner.pipeline import _combined_tag
-from repro.planner import PassConfig
+from repro.engine.parallel import ParallelPolicy
 from repro.testkit import Case, Harness, generate_case
 from repro.workloads import random_multigraph, random_relation
 from tests.strategies import input_bags
@@ -251,15 +251,16 @@ class TestCodegenCompiler:
         stats = self._parity(expr, database)
         assert stats.barrier_fallbacks == 1
 
-    def test_whole_plan_barrier_still_streams(self):
+    def test_whole_plan_barrier_compiles_inline(self):
         expr = Powerset(var("S"))
         database = {"S": random_relation(3, arity=1, seed=5)}
         plan = plan_for(expr, database, engine="codegen")
         assert isinstance(plan, CodegenPlan)
-        assert plan.root_segment is None
+        assert plan.root_segment is not None
+        assert "powerset" in plan.root_segment.kernels
         stats = self._parity(expr, database)
         assert stats.barrier_fallbacks == 1
-        assert stats.fused_segments == 0
+        assert stats.fused_segments == 1
 
     def test_sym_diff_super_kernel_absorbs_the_sharing(self):
         # every chain level mentions the previous level twice, but the
@@ -292,23 +293,29 @@ class TestCodegenCompiler:
         self._parity(expr, {"B": bag, "C": other})
         assert bag._counts == before
 
-    def test_opt_levels_below_3_keep_the_stream_plan(self):
-        from repro.engine.lower import PhysicalPlan
-        expr = _sym_diff_chain(2)
-        database = {"X": self.X, "Y": self.Y}
-        for level in (0, 1, 2):
-            plan = plan_for(expr, database, engine="codegen",
-                            opt_level=level)
-            assert isinstance(plan, PhysicalPlan)
-            assert not isinstance(plan, CodegenPlan)
-        # and without engine="codegen" the pass never runs, even at 3
-        plan = plan_for(expr, database, opt_level=3)
-        assert not isinstance(plan, CodegenPlan)
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
+    @pytest.mark.parametrize("engine", ["physical", "parallel"])
+    def test_every_plan_is_codegen(self, engine, level):
+        policy = (ParallelPolicy(threshold=0.0) if engine == "parallel"
+                  else None)
+        database = {"X": self.X, "Y": self.Y,
+                    "S": random_relation(3, arity=1, seed=5)}
+        for expr in (_sym_diff_chain(2), Powerset(var("S")),
+                     Dedup(var("X")) - var("Y")):
+            plan = plan_for(expr, database, engine=engine,
+                            policy=policy, opt_level=level)
+            assert isinstance(plan, CodegenPlan)
+            assert plan.root_segment is not None
+        if engine == "parallel":
+            # the exchange is an out-of-line input; its partition
+            # inputs compile into segments of their own
+            assert "exchange" in plan.root_segment.inputs
+            roles = [segment.role for segment in plan.segments]
+            assert roles.count("partition") >= 2
 
     def test_stream_plans_identical_with_codegen_available(self):
-        # opt 0/1/2 plans must be byte-identical to the stream
-        # pipeline's output: the codegen stage may only ever add a
-        # trailing compilation step, never perturb lowering
+        # engine="codegen" only moves the default opt level: at an
+        # explicit level both engines compile the same plan
         expr = _sym_diff_chain(2)
         database = {"X": self.X, "Y": self.Y}
         for level in (0, 1, 2):
@@ -318,10 +325,20 @@ class TestCodegenCompiler:
                                           opt_level=level)
             assert stream.render() == via_codegen_engine.render()
 
-    def test_cache_tag_isolates_codegen_keys(self):
-        config = PassConfig.for_level(3)
-        assert _combined_tag(config, None, codegen=True) != \
-            _combined_tag(config, None, codegen=False)
+    def test_engines_share_cache_keys_at_equal_opt_level(self):
+        # one executor: a plan compiled under engine="codegen" serves
+        # engine="physical" at the same opt level
+        cache = PlanCache(capacity=8)
+        stats = EngineStats()
+        expr = _sym_diff_chain(2)
+        database = {"X": self.X, "Y": self.Y}
+        first = evaluate(expr, database, engine="codegen", opt_level=2,
+                         cache=cache, stats=stats)
+        again = evaluate(expr, database, engine="physical",
+                         opt_level=2, cache=cache, stats=stats)
+        assert again == first
+        assert stats.cache_misses == 1
+        assert stats.cache_hits == 1
 
     def test_shared_cache_never_crosses_engines(self):
         cache = PlanCache(capacity=8)
@@ -362,7 +379,7 @@ class TestCodegenCompiler:
 # ----------------------------------------------------------------------
 
 def _detect(patches, cases=10, case_for=None):
-    """Run oracle vs engine-codegen over a fixed generated stream with
+    """Run oracle vs engine-opt2 over a fixed generated stream with
     columnar kernels mutated (``patches`` maps kernel name to a
     ``patch(original)`` wrapper); return the 1-based index of the
     first mismatch, or None if the mutants survive all ``cases``.
@@ -372,7 +389,7 @@ def _detect(patches, cases=10, case_for=None):
     for name, patch in patches.items():
         setattr(columnar, name, patch(originals[name]))
     try:
-        harness = Harness(backends=("oracle", "engine-codegen"),
+        harness = Harness(backends=("oracle", "engine-opt2"),
                           metamorphic=False)
         for index in range(cases):
             if case_for is not None:

@@ -38,6 +38,15 @@ def parallel_harness():
                    metamorphic=False)
 
 
+@pytest.fixture(scope="module")
+def set_harness():
+    """The set-semantics tri-equivalence replay: the Bool-semiring
+    engine, the relational SetEvaluator, and delta of the N oracle
+    (compared among themselves)."""
+    return Harness(backends=("oracle", "engine-boolean", "ralg",
+                             "delta-bag"), metamorphic=False)
+
+
 @pytest.mark.parametrize(
     "path,case,meta", _LOADED,
     ids=[os.path.splitext(os.path.basename(path))[0]
@@ -62,3 +71,16 @@ def test_corpus_case_replays_green_parallel(path, case, meta,
     assert report.ok, (
         f"corpus case {os.path.basename(path)} regressed under the "
         f"parallel engine: {details}")
+
+
+@pytest.mark.parametrize(
+    "path,case,meta", _LOADED,
+    ids=["set-" + os.path.splitext(os.path.basename(path))[0]
+         for path, _, _ in _LOADED])
+def test_corpus_case_replays_green_under_set_semantics(path, case, meta,
+                                                       set_harness):
+    report = set_harness.run_case(case)
+    details = "; ".join(m.describe() for m in report.mismatches)
+    assert report.ok, (
+        f"corpus case {os.path.basename(path)} regressed under set "
+        f"semantics: {details}")

@@ -33,7 +33,7 @@ from repro.engine import (
     EngineStats, PlanCache, canonical_key, default_cache, evaluate,
     explain_physical, lower, plan_for,
 )
-from repro.engine import kernels
+from repro.engine import columnar
 from repro.engine.physical import (
     HashJoin, MultiplicityScale, NestedLoopProduct, OracleEval,
     ScanBag, SharedScan,
@@ -146,34 +146,32 @@ class TestKernels:
     def test_monus(self):
         left = {"a": 5, "b": 2}
         right = {"a": 3, "b": 2, "c": 9}
-        assert dict(kernels.k_monus(left, right)) == {"a": 2}
+        assert columnar.c_monus(left, right) == {"a": 2}
 
     def test_min_intersect(self):
         small = {"a": 2, "z": 1}
         large = {"a": 5, "b": 2}
-        assert dict(kernels.k_min_intersect(small, large)) == {"a": 2}
+        assert columnar.c_min_intersect(small, large) == {"a": 2}
 
     def test_max_union(self):
         left = {"a": 2}
         right = {"a": 5, "b": 1}
-        assert dict(kernels.k_max_union(left, right)) == \
-            {"a": 5, "b": 1}
+        assert columnar.c_max_union(left, right) == {"a": 5, "b": 1}
 
     def test_dedup_streams_first_occurrence(self):
-        rows = [("a", 2), ("b", 1), ("a", 9)]
-        assert list(kernels.k_dedup(rows)) == [("a", 1), ("b", 1)]
+        values = ["a", "b", "a"]
+        assert list(columnar.c_dedup(values).items()) == \
+            [("a", 1), ("b", 1)]
 
     def test_scale(self):
-        assert list(kernels.k_scale([("a", 2)], 3)) == [("a", 6)]
+        assert columnar.c_scale_dict({"a": 2}, 3) == {"a": 6}
 
     def test_hash_join_counts_multiply(self):
-        left = [(Tup("a", 1), 2)]
-        right = [(Tup(1, "x"), 3)]
-        build = kernels.collect(right)
-        joined = dict(kernels.k_hash_join(
-            left, build, probe_key=lambda t: (t[1],),
-            build_key=lambda t: (t[0],), probe_is_left=True))
-        assert joined == {Tup("a", 1, 1, "x"): 6}
+        build = {Tup(1, "x"): 3}
+        values, counts = columnar.c_hash_join(
+            [Tup("a", 1)], [2], build, probe_key=lambda t: (t[1],),
+            build_key=lambda t: (t[0],), probe_is_left=True)
+        assert dict(zip(values, counts)) == {Tup("a", 1, 1, "x"): 6}
 
 
 class TestLoweringDecisions:
@@ -248,10 +246,8 @@ def Tupling_safe(part):
 
 def _walk_plan(node):
     yield node
-    for name in ("child", "left", "right", "inner"):
-        sub = getattr(node, name, None)
-        if sub is not None and hasattr(sub, "rows"):
-            yield from _walk_plan(sub)
+    for sub in node.children():
+        yield from _walk_plan(sub)
 
 
 class TestPlanCache:
@@ -310,6 +306,28 @@ class TestExplainPhysical:
         assert "kernel=monus" in text
         assert "kernel=dedup" in text
         assert "actual rows" in text
+
+    def test_feedback_footer_estimates_from_the_plan_without_catalog(
+            self):
+        text = explain_physical(Dedup(var("B")), feedback=True,
+                                B=Bag.of("a", "a", "b"))
+        assert "-- feedback --" in text
+        assert "B: estimated 3, observed 3 (scans 1)" in text
+
+    def test_cached_plan_reports_each_runs_own_actual_rows(self):
+        cache = PlanCache(capacity=4)
+        expr = Dedup(var("B"))
+        first, second = EngineStats(), EngineStats()
+        evaluate(expr, B=Bag.of("a", "a", "b"), cache=cache,
+                 stats=first)
+        evaluate(expr, B=Bag.of("a", "b", "c", "d"), cache=cache,
+                 stats=second)
+        assert second.cache_hits == 1
+        plan = plan_for(expr, {"B": Bag.of("a")}, cache=cache)
+        assert first.node_rows[id(plan.root)] == 2
+        assert second.node_rows[id(plan.root)] == 4
+        assert "actual rows 2" in plan.render(first.node_rows)
+        assert "actual rows 4" in plan.render(second.node_rows)
 
     def test_without_execution_no_actuals(self):
         text = explain_physical(Dedup(var("B")), execute=False,
@@ -381,7 +399,7 @@ class TestEstimatorVsEngineMeasurements:
         plan.execute(ExecContext({"B": bag},
                                  Evaluator(track_stats=False),
                                  stats=stats))
-        assert plan.root.actual_rows == 2
+        assert stats.node_rows[id(plan.root)] == 2
         assert stats.kernel_counts.get("dedup") == 1
         assert stats.rows_emitted > 0
 
@@ -532,10 +550,11 @@ class TestAdaptiveTickInterval:
         assert ctx.tick_interval == 128
 
     def test_overshoot_bounded_after_adaptation(self):
-        """Once adapted to interval 1, a deadline breach is noticed on
-        the very next row rather than up to 127 rows later."""
+        """Once adapted to interval 1, a kernel's epilogue ticks once
+        per row the kernel produced, and a deadline that passed while
+        the kernel ran is noticed at the epilogue's first tick."""
         from repro.core.errors import DeadlineExceeded
-        from repro.engine import kernels
+        from repro.engine.codegen import _record
 
         ctx, clock = self._context(timeout=100.0)
         ctx.tick()
@@ -544,18 +563,13 @@ class TestAdaptiveTickInterval:
             ctx.tick()
         assert ctx.tick_interval == 1
 
-        consumed = {"rows": 0}
+        before = ctx.governor.steps
+        _record(ctx, "scan", 0, 20)  # t = 77: inside the deadline
+        assert ctx.governor.steps - before == 21
 
-        def rows():
-            for i in range(10_000):
-                consumed["rows"] += 1
-                clock["now"] += 2.0  # deadline (t=100) passes mid-stream
-                yield (Tup(i), 1)
-
+        clock["now"] += 30.0  # the next kernel ran past t = 100
+        before = ctx.governor.steps
         with pytest.raises(DeadlineExceeded):
-            kernels.collect(rows(), tick=ctx.tick,
-                            every=ctx.tick_interval,
-                            get_every=lambda: ctx.tick_interval)
-        # t was ~77 entering the stream; the deadline passes ~12 rows
-        # in and must be seen within one row of interval-1 ticking.
-        assert consumed["rows"] <= 14
+            _record(ctx, "scan", 0, 10_000)
+        assert ctx.governor.steps - before == 1
+        assert ctx.stats.node_rows[0] == 10_020

@@ -108,7 +108,7 @@ class TestPipelineParity:
         assert compiled.physical is not None
         assert compiled.engine == "physical"
         stages = [record.stage for record in compiled.report.stages]
-        assert stages == ["normalize", "rewrite", "lower"]
+        assert stages == ["normalize", "rewrite", "lower", "codegen"]
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-import repro.engine.kernels as kernels
+import repro.engine.columnar as columnar
 from repro.core.bag import Bag, Tup
 from repro.core.expr import (
     AdditiveUnion, Attribute, Cartesian, Const, Dedup, Lam, Map,
@@ -261,23 +261,23 @@ class TestHarness:
 
     def test_value_disagreement_is_reported(self):
         # a fake backend disagreement via a broken kernel, one case
-        original = kernels.k_monus
+        original = columnar.c_monus
 
         def broken(left, right, sr=None):
-            for value, count in original(left, right, sr):
-                yield value, count + 1
+            return {value: count + 1
+                    for value, count in original(left, right, sr).items()}
 
         # Subtraction drives monus; the mutant inflates every count
         case = _simple_case(
             Subtraction(AdditiveUnion(Var("R"), Var("R")), Var("R")),
             {"R": FLAT}, {"R": Bag.of(Tup("a", "b"))})
-        kernels.k_monus = broken
+        columnar.c_monus = broken
         try:
             harness = Harness(backends=("oracle", "engine"),
                               metamorphic=False)
             report = harness.run_case(case)
         finally:
-            kernels.k_monus = original
+            columnar.c_monus = original
         assert not report.ok
         assert report.mismatches[0].kind == "value"
         assert report.mismatches[0].backend == "engine"
@@ -398,23 +398,22 @@ class TestFuzzCli:
     def test_failure_persists_minimized_corpus_case(self, tmp_path,
                                                     capsys):
         from repro.testkit.cli import main
-        original = kernels.k_monus
+        original = columnar.c_monus
 
         def broken(left, right, sr=None):
             get = right.get
-            for value, count in left.items():
-                remaining = count - get(value, 0)
-                if remaining >= 0:
-                    yield value, max(1, remaining)
+            return {value: max(1, count - get(value, 0))
+                    for value, count in left.items()
+                    if count - get(value, 0) >= 0}
 
-        kernels.k_monus = broken
+        columnar.c_monus = broken
         try:
             status = main(["--cases", "40", "--seed", "0",
                            "--corpus", str(tmp_path), "--quiet",
                            "--backends", "oracle,engine",
                            "--no-metamorphic"])
         finally:
-            kernels.k_monus = original
+            columnar.c_monus = original
         out = capsys.readouterr().out
         assert status == 1
         assert "MISMATCH" in out
@@ -423,13 +422,13 @@ class TestFuzzCli:
         _, case, meta = saved[0]
         assert meta["kind"] == "value"
         # the persisted repro must still fail under the mutant...
-        kernels.k_monus = broken
+        columnar.c_monus = broken
         try:
             harness = Harness(backends=("oracle", "engine"),
                               metamorphic=False)
             assert not harness.run_case(case).ok
         finally:
-            kernels.k_monus = original
+            columnar.c_monus = original
         # ... and replay green on the fixed kernels
         assert harness.run_case(case).ok
 
@@ -441,8 +440,8 @@ class TestFuzzCli:
 def _detect(mutant_name, patch, cases=60):
     """Run oracle-vs-engine over a fixed stream with one kernel
     mutated; return the 1-based index of the first mismatch."""
-    original = getattr(kernels, mutant_name)
-    setattr(kernels, mutant_name, patch(original))
+    original = getattr(columnar, mutant_name)
+    setattr(columnar, mutant_name, patch(original))
     try:
         harness = Harness(backends=("oracle", "engine"),
                           metamorphic=False)
@@ -453,43 +452,42 @@ def _detect(mutant_name, patch, cases=60):
                 return index + 1
         return None
     finally:
-        setattr(kernels, mutant_name, original)
+        setattr(columnar, mutant_name, original)
 
 
 class TestMutationDetection:
     def test_monus_keeping_zero_rows_is_caught(self):
         def patch(orig):
-            def patched(left, right):
+            def patched(left, right, sr=None):
                 get = right.get
-                for value, count in left.items():
-                    remaining = count - get(value, 0)
-                    if remaining >= 0:
-                        yield value, max(1, remaining)
+                return {value: max(1, count - get(value, 0))
+                        for value, count in left.items()
+                        if count - get(value, 0) >= 0}
             return patched
 
-        assert _detect("k_monus", patch) is not None
+        assert _detect("c_monus", patch) is not None
 
     def test_nest_collapsing_group_multiplicities_is_caught(self):
         def patch(orig):
-            def patched(counts, group_indices):
-                for value, count in orig(counts, group_indices):
+            def patched(counts, group_indices, sr=None):
+                out = {}
+                for value, count in orig(counts, group_indices,
+                                         sr).items():
                     items = value.items()
                     inner = items[-1]
                     if isinstance(inner, Bag):
                         value = Tup(*items[:-1],
                                     Bag(list(inner.distinct())))
-                    yield value, count
+                    out[value] = count
+                return out
             return patched
 
-        assert _detect("k_nest", patch) is not None
+        assert _detect("c_nest", patch) is not None
 
     def test_unnest_dropping_multiplicity_product_is_caught(self):
         def patch(orig):
-            def patched(rows, index):
-                seen = {}
-                for value, count in orig(rows, index):
-                    seen[value] = seen.get(value, 0) + 1
-                yield from seen.items()
+            def patched(counts, index, sr=None):
+                return dict.fromkeys(orig(counts, index, sr), 1)
             return patched
 
-        assert _detect("k_unnest", patch) is not None
+        assert _detect("c_unnest", patch) is not None
